@@ -24,7 +24,7 @@ use astrea_experiments::{
     ExperimentContext,
 };
 use blossom_mwpm::MwpmDecoder;
-use decoding_graph::Decoder;
+use decoding_graph::{Decoder, WeightSource};
 use qec_circuit::DemSampler;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -479,28 +479,31 @@ fn table9(opts: &Options) {
 fn fig3(opts: &Options) {
     println!("Figure 3: software MWPM decoding latency (d = 7, p = 1e-3)\n");
     let ctx = ExperimentContext::new(7, 1e-3);
+    let local_ctx = ExperimentContext::with_source(7, 1e-3, WeightSource::Local);
     let trials = preset(opts, 20_000);
     let decoder = MwpmDecoder::new(ctx.gwt());
-    let mut local = blossom_mwpm::LocalMwpmDecoder::new(ctx.graph());
+    let local = MwpmDecoder::for_context(local_ctx.decoding());
     let mut sampler = DemSampler::new(ctx.dem());
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut dense_us: Vec<f64> = Vec::new();
     let mut local_us: Vec<f64> = Vec::new();
+    let mut identical = 0usize;
     for _ in 0..trials {
         let shot = sampler.sample(&mut rng);
         if shot.detectors.is_empty() {
             continue;
         }
         let t = Instant::now();
-        let _ = decoder.decode_full(&shot.detectors);
+        let dense_solution = decoder.decode_full(&shot.detectors);
         dense_us.push(t.elapsed().as_secs_f64() * 1e6);
         let t = Instant::now();
-        let _ = local.decode_full(&shot.detectors);
+        let local_solution = local.decode_full(&shot.detectors);
         local_us.push(t.elapsed().as_secs_f64() * 1e6);
+        identical += usize::from(local_solution == dense_solution);
     }
     for (name, latencies_us) in [
         ("dense exact MWPM", &mut dense_us),
-        ("local sparse MWPM", &mut local_us),
+        ("GWT-free exact MWPM", &mut local_us),
     ] {
         latencies_us.sort_by(f64::total_cmp);
         let n = latencies_us.len().max(1);
@@ -519,13 +522,18 @@ fn fig3(opts: &Options) {
             100.0 * over_1us as f64 / n as f64
         );
     }
+    println!(
+        "GWT-free matchings identical to the dense row: {identical} of {}",
+        dense_us.len()
+    );
     println!("\n(notes: the dense decoder reads the precomputed GWT, so its average");
     println!(" case is far faster than the paper's 2023-era BlossomV baseline, which");
     println!(" missed 1 us on 96% of nonzero syndromes; the qualitative point — a");
     println!(" worst-case tail hundreds of times the median, which no software");
-    println!(" decoder can bound — reproduces in both rows. The local sparse matcher");
-    println!(" trades per-shot graph search for O(edges) memory: it needs no GWT at");
-    println!(" all, which is how PyMatching-style software scales to large d.)");
+    println!(" decoder can bound — reproduces in both rows. The GWT-free row is the");
+    println!(" same exact decoder on the local weight backend: O(edges) memory, pair");
+    println!(" weights found per shot on the sparse graph, matchings bit-identical");
+    println!(" to the GWT row — the trade PyMatching-style matchers make at large d.)");
 }
 
 // ---------------------------------------------------------------- fig 4

@@ -257,6 +257,14 @@ fn streamed_pipeline_agrees_across_tiles_and_threads() {
                 if ctx.distance >= 5 {
                     assert!(!co.ondemand.is_idle(), "d = {}", ctx.distance);
                     assert!(co.ondemand.collisions > 0, "d = {}", ctx.distance);
+                    // Some pair must also have been certified dominated
+                    // (by a bound or an expired deadline) on this path.
+                    assert!(
+                        co.ondemand.deadline_pruned + co.ondemand.excluded > 0,
+                        "d = {}: no pair pruned: {:?}",
+                        ctx.distance,
+                        co.ondemand
+                    );
                 }
                 assert!(cs.ondemand.is_idle(), "d = {}", ctx.distance);
                 // The oracle stages every non-easy shot through the

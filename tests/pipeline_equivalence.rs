@@ -103,3 +103,57 @@ proptest! {
         prop_assert_eq!(streamed, reference, "config {:?}", config);
     }
 }
+
+#[test]
+fn every_hard_path_stage_absorbs_shots_at_the_operating_points() {
+    // The operating points d ∈ {3, 5, 7} at p = 1e-3 and d = 7 at 5e-3:
+    // the low-p points must exercise the trivial, easy and closed-form
+    // tiers and the hard-cache probe, the high-p point the DP band and
+    // the deep tail. A stage that goes idle here has been bypassed by a
+    // dispatch change, not starved by the workload.
+    let mut total = astrea_experiments::PipelineCounters::default();
+    for (d, p) in [(3, 1e-3), (5, 1e-3), (7, 1e-3), (7, 5e-3)] {
+        let ctx = ExperimentContext::new(d, p);
+        let factory: Box<astrea_experiments::DecoderFactory> =
+            Box::new(|c| Box::new(MwpmDecoder::new(c.gwt())));
+        let trials = 2_000;
+        let (_, c) = astrea_experiments::estimate_ler_streamed_counted(
+            &ctx,
+            trials,
+            7,
+            &*factory,
+            PipelineConfig::for_threads(2),
+        );
+        assert_eq!(
+            c.shots_screened, trials,
+            "screen missed shots at d={d} p={p}"
+        );
+        assert_eq!(
+            c.tier_sum(),
+            trials,
+            "tiers do not partition d={d} p={p}: {c:?}"
+        );
+        total.merge(&c);
+    }
+    assert!(total.trivial_shots > 0, "trivial tier idle: {total:?}");
+    assert!(total.hw1_shots > 0, "HW-1 tier idle: {total:?}");
+    assert!(total.hw2_shots > 0, "HW-2 tier idle: {total:?}");
+    assert!(
+        total.closed_form_shots > 0,
+        "closed-form tier idle: {total:?}"
+    );
+    assert!(
+        total.hard_cache_hits + total.hard_cache_misses > 0,
+        "hard-syndrome cache never consulted: {total:?}"
+    );
+    assert!(total.dp_shots > 0, "subset-DP band idle: {total:?}");
+    assert!(total.sparse_blossom_shots > 0, "deep tail idle: {total:?}");
+    assert!(
+        total.hw1_key_lookups > 0 && total.hw1_key_lookups <= total.hw1_shots,
+        "packed HW-1 key resolution inconsistent: {total:?}"
+    );
+    assert!(
+        total.hw2_key_lookups > 0 && total.hw2_key_lookups <= total.hw2_shots,
+        "packed HW-2 key resolution inconsistent: {total:?}"
+    );
+}
